@@ -17,15 +17,20 @@ Two race modes:
   members finish (SciPy solves cannot be cancelled mid-flight), so results
   stay reproducible while wall time approaches the slowest member's.
 
-The winner is the member with the lowest objective; ties break on lower
-deterministic time, then on portfolio order.
+The winner is the member with the lowest objective; ties break on a
+proof of optimality, then on the tighter dual bound, then on lower
+deterministic time, then on portfolio order.  The race reports the best
+dual bound any member proved (all members solve one model).
 
 Sequential races also *share incumbents* (see
 :class:`PortfolioOptions.share_incumbents`): each member's best solution
 seeds the next member's warm start, so ordering a cheap heuristic arm
 (``lp_round``) before the exact arms hands them a strong cutoff before
 they open their root node.  :data:`ACCELERATED_SPECS` is that
-composition, ready-made.
+composition, ready-made — it pays only where the exact arm cannot close
+on its own; where it can, put the exact arm first and let
+``stop_on_optimal`` skip the heuristic (as the adaptive DSE ladder in
+:mod:`repro.dse.fidelity` does).
 """
 
 from __future__ import annotations
@@ -54,6 +59,11 @@ ACCELERATED_SPECS = (
 )
 
 RACE_MODES = ("sequential", "threads")
+
+#: Relative tolerance under which two members' objectives tie: backends
+#: evaluate objectives by different summations (``Model.objective_of``
+#: vs. the lowered form's ``c @ x``), so one optimum may differ in ulps.
+_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -200,6 +210,7 @@ class PortfolioSolver:
                 arm_start += member.wall_time
 
         winner = _pick_winner(results, model.objective_sense)
+        winner.bound = _best_bound(results, model.objective_sense)
         winner.det_time = sum(r.det_time for r in results)
         winner.wall_time = (
             max(r.wall_time for r in results)
@@ -229,27 +240,56 @@ class PortfolioSolver:
 def _pick_winner(
     results: list[SolveResult], sense: ObjectiveSense
 ) -> SolveResult:
-    """Deterministic selection: best objective, then det time, then order.
+    """Deterministic selection: best objective, then proof, then order.
 
     "Best" honors the model's objective sense (objectives are user-facing,
-    so a maximize model wants the largest).  Members without a solution
-    only win when nobody found one — in which case the first conclusive
-    status (infeasible/unbounded beats a bare limit-out) is reported.
+    so a maximize model wants the largest).  Among members tied on the
+    best objective, an ``OPTIMAL`` status wins, then the tighter dual
+    bound, then lower det time, then portfolio order — a heuristic that
+    reached the optimum first must not discard the exact arm's proof.
+    Members without a solution only win when nobody found one — in which
+    case the first conclusive status (infeasible/unbounded beats a bare
+    limit-out) is reported.
     """
     fold = 1.0 if sense is ObjectiveSense.MINIMIZE else -1.0
     solved = [
-        (fold * r.objective, r.det_time, pos, r)
-        for pos, r in enumerate(results)
-        if r.status.has_solution() and r.objective is not None
+        r for r in results if r.status.has_solution() and r.objective is not None
     ]
     if solved:
-        return min(solved, key=lambda item: item[:3])[3]
+        best = min(fold * r.objective for r in solved)
+        tol = _TIE_RTOL * max(1.0, abs(best))
+        # min() keeps the first of equal keys: portfolio order breaks the
+        # last tie.
+        return min(
+            (r for r in solved if fold * r.objective <= best + tol),
+            key=lambda r: (
+                r.status is not SolveStatus.OPTIMAL,
+                -_folded_bound(r, fold),
+                r.det_time,
+            ),
+        )
     conclusive = [
         r
         for r in results
         if r.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED)
     ]
     return conclusive[0] if conclusive else results[0]
+
+
+def _folded_bound(result: SolveResult, fold: float) -> float:
+    """``result``'s dual bound in minimize terms (-inf when it has none)."""
+    return float("-inf") if result.bound is None else fold * result.bound
+
+
+def _best_bound(results: list[SolveResult], sense: ObjectiveSense) -> float | None:
+    """The tightest dual bound any member proved, or ``None``.
+
+    Every member solved the same model, so each member's bound is valid
+    for the race as a whole.
+    """
+    fold = 1.0 if sense is ObjectiveSense.MINIMIZE else -1.0
+    best = max(_folded_bound(r, fold) for r in results)
+    return None if best == float("-inf") else fold * best
 
 
 def portfolio_solver_factory(

@@ -151,9 +151,10 @@ def explore_adaptive(
         if not promote:
             break
         # Portfolio runs scale solver fidelity with the rung: cheap rungs
-        # race loose-gap node-capped arms behind the lp_round heuristic,
-        # the top rung races full-fidelity exact arms (see dse.fidelity).
-        # Single-backend runs keep their historical configuration.
+        # race loose-gap node-capped exact arms, the top rung a
+        # full-fidelity one; lp_round follows only where the exact arm
+        # does not prove (see dse.fidelity).  Single-backend runs keep
+        # their historical configuration.
         specs = (
             rung_solver_specs(rung, max_rungs)
             if explorer.portfolio and not callable(explorer.portfolio)

@@ -24,10 +24,15 @@ Contract highlights:
 - status is ``OPTIMAL`` only when the incumbent's objective meets the LP
   bound (no integrality gap), otherwise ``FEASIBLE``.
 
-Inside a portfolio this arm runs first: its incumbent is donated as a
-warm-start cutoff to the exact arms (see
-:class:`~repro.batch.portfolio.PortfolioSolver`), which prune against it
-from the root node on.
+Inside a portfolio, an arm placed ahead of the exact arms donates its
+incumbent to them as a warm-start cutoff (see
+:class:`~repro.batch.portfolio.PortfolioSolver` and
+``ACCELERATED_SPECS``) — worth it only where the exact arm cannot close
+on its own, such as the fig2-E SNU instance.  Where HiGHS proves quickly
+(every rung solve of the stock DSE space closes in under 0.3 s) the
+rounding costs more than the proof, so the adaptive DSE ladder
+(:mod:`repro.dse.fidelity`) runs this arm *after* the exact arm, as a
+fallback seeded with the exact arm's incumbent.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from repro.dse.scenario import (
     WorkloadSpec,
 )
 from repro.dse.store import TIER_GREEDY, TIER_ILP, RunStore
+from repro.ilp.result import SolveStatus
 
 pytestmark = pytest.mark.dse
 
@@ -237,3 +238,37 @@ class TestAdaptiveDriver:
             explore_adaptive(tiny_space, explorer, max_rungs=0)
         with pytest.raises(ValueError, match="prune_slack"):
             explore_adaptive(tiny_space, explorer, prune_slack=1.0)
+
+
+class TestPortfolioLadder:
+    def test_exact_arm_proves_every_rung_solve(self, tiny_space, monkeypatch):
+        """The rung ladder's exact arm closes each solve on its own, and
+        the answers match a plain-HiGHS grid sweep."""
+        explorer = Explorer(portfolio=True, time_limit=TIME_LIMIT)
+        solves = []
+        map_all = explorer.mapper.map_all
+
+        def spy(jobs, **kwargs):
+            batch = map_all(jobs, **kwargs)
+            for record in batch.records:
+                solves.extend(
+                    stage.solve_result
+                    for stage in record.stages.values()
+                    if stage.solve_result is not None
+                )
+            return batch
+
+        monkeypatch.setattr(explorer.mapper, "map_all", spy)
+        adaptive = explore_adaptive(tiny_space, explorer)
+
+        assert solves
+        assert [s.backend for s in solves] == ["portfolio[highs]"] * len(solves)
+        assert all(s.status is SolveStatus.OPTIMAL for s in solves)
+        grid = explore_grid(
+            [r.scenario for r in adaptive.ok_results()],
+            Explorer(time_limit=TIME_LIMIT),
+        )
+        grid_area = {r.fingerprint: r.objectives.area for r in grid.ok_results()}
+        assert adaptive.ok_results()
+        for r in adaptive.ok_results():
+            assert r.objectives.area == pytest.approx(grid_area[r.fingerprint])

@@ -9,6 +9,7 @@ results match what a direct single-process run produces.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import queue
 import signal
@@ -43,6 +44,10 @@ from repro.service.worker import FleetConfig, worker_main
 pytestmark = pytest.mark.service
 
 CHAOS = str(Path(__file__).resolve().parent / "chaos.py")
+#: The same file loaded here, for reading its on-disk attempt counters.
+_chaos_spec = importlib.util.spec_from_file_location("fleet_chaos", CHAOS)
+chaos = importlib.util.module_from_spec(_chaos_spec)
+_chaos_spec.loader.exec_module(chaos)
 
 #: The deterministic slice of a result payload: solver outputs, not
 #: timings.  ``wall_time``/``solves``/``cached`` legitimately differ
@@ -278,11 +283,12 @@ class TestFaultInjection:
             service.stop(wait=True)
 
     def test_sigkill_mid_solve_requeues_and_finishes(self, tmp_path):
+        attempts_dir = tmp_path / "attempts"
         config = _fleet_config(
             tmp_path,
             mapper_factory=f"{CHAOS}:stalling_mapper",
             mapper_kwargs=(
-                ("attempts_dir", str(tmp_path / "attempts")),
+                ("attempts_dir", str(attempts_dir)),
                 ("fail_first", 1),
                 ("key", "stall"),
                 ("delay", 60.0),
@@ -294,17 +300,19 @@ class TestFaultInjection:
             service.start()
             job_id = service.submit(_spec(scenario)).id
 
-            # Wait until the worker is visibly mid-solve, then kill -9.
+            # Wait until the worker is visibly mid-solve — it holds the
+            # job *and* its mapper has entered the stalling attempt — then
+            # kill -9.  The retry is attempt 2 and solves at once.
             pid = None
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
                 workers = service.supervisor.snapshot()["workers"]
                 busy = [w for w in workers if w["job"] == job_id and w["pid"]]
-                if busy:
+                if busy and chaos.read_attempts(attempts_dir, "stall") >= 1:
                     pid = busy[0]["pid"]
                     break
                 time.sleep(0.05)
-            assert pid is not None, "worker never picked the job up"
+            assert pid is not None, "worker never entered the stalling attempt"
             os.kill(pid, signal.SIGKILL)
 
             job = _wait_finished(service, job_id)
