@@ -1,15 +1,17 @@
 """Service/fleet bench: sharded store throughput and fleet wall-clock.
 
-Two claims behind PR-7's crash-tolerant fleet, measured:
+Three measurements behind the crash-tolerant fleet:
 
 - **store** — the sharded run store keeps up with (and under contention
   beats) the legacy single-file layout: four concurrent writer processes
   spread their ``flock``s over the shards instead of serialising on one
   file, and resume loads ride the index sidecar instead of re-parsing
   every superseded line;
-- **fleet** — a fleet of two worker processes finishes a batch of
-  independent jobs in less wall-clock than one in-process worker thread,
-  spawn overhead included (the recorded ``speedup`` tracks how much);
+- **fleet** — the wall-clock of a fleet of two worker processes on a
+  batch of independent jobs, against one in-process worker thread,
+  spawn overhead included.  The recorded ``speedup`` is a measurement,
+  not a claim: it reads 0.81 (the fleet is *slower*) on the 4-job batch
+  in ``BENCH_service.json``;
 - **tracing** — end-to-end span tracing is cheap enough to leave on: the
   same batch runs traced and untraced (best of two each), and the
   recorded ``overhead_ratio`` must stay at or below

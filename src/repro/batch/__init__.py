@@ -28,7 +28,7 @@ from .portfolio import (
     PortfolioSolver,
     portfolio_solver_factory,
 )
-from .queue import CancelToken, JobQueue
+from .queue import CancelToken
 
 __all__ = [
     "BatchJob",
@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_SPECS",
     "JOB_ERROR",
     "JOB_OK",
-    "JobQueue",
     "JobRecord",
     "PortfolioOptions",
     "PortfolioSolver",

@@ -6,7 +6,9 @@ repeated sweeps skip already-solved instances.  Two tiers:
 
 - an in-memory dict, always on;
 - an optional on-disk tier (one ``<fingerprint>.json`` per entry under a
-  directory), surviving across processes and runs.
+  directory), surviving across processes and runs.  Any number of
+  processes may share one directory: each entry is written under a
+  temporary name unique to its writer and published by an atomic rename.
 
 The cache never stores live :class:`~repro.mapping.solution.Mapping`
 objects — payloads are rehydrated against the caller's problem instance,
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import threading
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,7 +124,9 @@ class ResultCache:
         self.stats.record_store()
         if self.path is not None:
             entry = {"format": CACHE_FORMAT, "key": key, "payload": payload}
-            tmp = self._entry_path(key).with_suffix(".json.tmp")
+            # Unique per writer (and not ``*.json``): concurrent writers of
+            # one key never rename each other's half-written file.
+            tmp = self.path / f".{key}.{uuid.uuid4().hex}.tmp"
             tmp.write_text(json.dumps(entry, sort_keys=True))
             tmp.replace(self._entry_path(key))  # atomic publish
 

@@ -1,29 +1,24 @@
-"""Thread-safe priority job queue with cancellation tokens.
+"""Scheduling vocabulary shared by the service: lanes, aging, tokens.
 
-The submission side of a long-lived mapping service: producers
-:meth:`JobQueue.push` work items and hold on to the returned
-:class:`CancelToken`; worker threads :meth:`JobQueue.pop` items in
-effective-priority order.  A token cancelled while its item is still
-queued makes the queue drop the item before a worker ever sees it; a
-token cancelled while the item is running doubles as the
-``should_cancel`` hook of :meth:`~repro.batch.engine.BatchMapper.
-map_all`, aborting the remainder of the batch at the next job boundary.
+Jobs wait in three **priority lanes** (``high``/``normal``/``batch``),
+FIFO within a lane, with **aging** between lanes: a job is scored
+``rank - waited / aging_interval`` and the lowest score runs next, so
+every 30 s (by default) of waiting promotes a job one full priority
+class.  A ``batch`` job can be passed over by fresh ``high`` work for a
+while, but never forever — starved work ages its way to the front.  The
+service's scheduler, :class:`~repro.service.ledger.JobLedger`, ranks its
+claims with :func:`effective_priority`.
 
-Scheduling is three **priority lanes** (``high``/``normal``/``batch``),
-FIFO within a lane, with **aging** between lanes: a lane's head is
-scored ``rank - waited / aging_interval`` and the lowest score pops
-next, so every 30 s (by default) of waiting promotes a job one full
-priority class.  A ``batch`` job can be passed over by fresh ``high``
-work for a while, but never forever — starved work ages its way to the
-front, which is the queue-level half of the service's fairness story.
+A :class:`CancelToken` is shared by a submitter and the worker running
+its job; it doubles as the ``should_cancel`` hook of
+:meth:`~repro.batch.engine.BatchMapper.map_all`, aborting the remainder
+of a batch at the next job boundary.  :class:`QueueFull` is the
+backpressure signal of a bounded backlog.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
-from typing import Any, Callable
 
 PRIORITY_HIGH = "high"
 PRIORITY_NORMAL = "normal"
@@ -56,35 +51,16 @@ class CancelToken:
     """A one-way cancellation flag shared by submitter and worker.
 
     Calling the token returns whether it is cancelled, so it plugs
-    directly into ``should_cancel=`` hooks.  :meth:`subscribe` registers
-    a callback fired exactly once when the token cancels (immediately if
-    it already has) — the queue uses it to keep its live-depth counters
-    exact without scanning.
+    directly into ``should_cancel=`` hooks.
     """
 
-    __slots__ = ("_event", "_lock", "_callbacks")
+    __slots__ = ("_event",)
 
     def __init__(self) -> None:
         self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._callbacks: list[Callable[[], None]] = []
 
     def cancel(self) -> None:
-        with self._lock:
-            if self._event.is_set():
-                return
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback()
-
-    def subscribe(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` once on cancellation (now, if already cancelled)."""
-        with self._lock:
-            if not self._event.is_set():
-                self._callbacks.append(callback)
-                return
-        callback()
+        self._event.set()
 
     @property
     def cancelled(self) -> bool:
@@ -99,7 +75,7 @@ class CancelToken:
 
 
 class QueueFull(RuntimeError):
-    """Push rejected: the queue is at its bounded depth.
+    """Submission rejected: the backlog is at its bounded depth.
 
     Carries an optional ``retry_after`` hint (seconds) that HTTP fronts
     forward as a ``Retry-After`` header — backpressure, not failure.
@@ -110,209 +86,3 @@ class QueueFull(RuntimeError):
     ) -> None:
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class _Entry:
-    """One queued item; ``live`` flips false exactly once (cancel or pop)."""
-
-    __slots__ = ("item", "token", "priority", "enqueued_at", "live")
-
-    def __init__(
-        self, item: Any, token: CancelToken, priority: str, enqueued_at: float
-    ) -> None:
-        self.item = item
-        self.token = token
-        self.priority = priority
-        self.enqueued_at = enqueued_at
-        self.live = True
-
-
-class JobQueue:
-    """Priority lanes of ``(item, CancelToken)`` pairs for worker loops.
-
-    ``pop`` silently discards items whose token was cancelled while they
-    waited — the canceller is responsible for any bookkeeping on the
-    dropped item (the service registry marks the job cancelled before
-    setting the token).  After :meth:`close`, pushes raise and ``pop``
-    returns ``None`` once the queue drains, which is the worker's signal
-    to exit.
-
-    ``maxsize`` bounds the *live* depth (cancelled stragglers don't
-    count): a push beyond it raises :class:`QueueFull` instead of
-    accepting unbounded backlog.  Live depth is maintained as per-lane
-    counters — decremented by the token's cancel callback and by pops —
-    so the bounded-depth check is O(1); cancelled stragglers are
-    compacted out of a lane once they outnumber its live entries.
-    """
-
-    def __init__(
-        self,
-        maxsize: int | None = None,
-        aging_interval: float = DEFAULT_AGING_INTERVAL,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if maxsize is not None and maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        if aging_interval <= 0:
-            raise ValueError("aging_interval must be > 0")
-        self._lanes: dict[str, deque[_Entry]] = {p: deque() for p in PRIORITIES}
-        self._live: dict[str, int] = dict.fromkeys(PRIORITIES, 0)
-        self._dead: dict[str, int] = dict.fromkeys(PRIORITIES, 0)
-        # RLock: a push with a pre-cancelled token fires the subscribe
-        # callback synchronously, re-entering the condition's lock.
-        self._cond = threading.Condition(threading.RLock())
-        self._closed = False
-        self.maxsize = maxsize
-        self.aging_interval = aging_interval
-        self._clock = clock
-
-    def push(
-        self,
-        item: Any,
-        token: CancelToken | None = None,
-        priority: str = PRIORITY_NORMAL,
-    ) -> CancelToken:
-        """Enqueue ``item``; returns its (possibly caller-made) token."""
-        if priority not in PRIORITY_RANK:
-            raise ValueError(
-                f"unknown priority {priority!r}; choose from {PRIORITIES}"
-            )
-        token = token if token is not None else CancelToken()
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("queue is closed")
-            if self.maxsize is not None and len(self) >= self.maxsize:
-                raise QueueFull(
-                    f"queue is at its bounded depth ({self.maxsize})"
-                )
-            entry = _Entry(item, token, priority, self._clock())
-            self._lanes[priority].append(entry)
-            self._live[priority] += 1
-            token.subscribe(lambda: self._on_cancel(entry))
-            self._cond.notify()
-        return token
-
-    def _on_cancel(self, entry: _Entry) -> None:
-        # Fired exactly once per token; the entry may already have been
-        # popped (a cancel landing mid-run is the engine's business).
-        with self._cond:
-            if not entry.live:
-                return
-            entry.live = False
-            lane = entry.priority
-            self._live[lane] -= 1
-            self._dead[lane] += 1
-            if self._dead[lane] * 2 > len(self._lanes[lane]):
-                # Cancelled stragglers outnumber live entries: compact
-                # so a flood of cancels can't bloat the deque forever.
-                self._lanes[lane] = deque(
-                    e for e in self._lanes[lane] if e.live
-                )
-                self._dead[lane] = 0
-
-    def _next_entry(self) -> _Entry | None:
-        # Caller holds the condition.  Drop dead heads, then race the
-        # three lane heads by effective priority (aged rank).
-        now = self._clock()
-        best_lane: str | None = None
-        best_score = 0.0
-        for priority in PRIORITIES:
-            lane = self._lanes[priority]
-            while lane and not lane[0].live:
-                lane.popleft()
-                self._dead[priority] = max(0, self._dead[priority] - 1)
-            if not lane:
-                continue
-            score = effective_priority(
-                priority, now - lane[0].enqueued_at, self.aging_interval
-            )
-            if best_lane is None or score < best_score:
-                best_lane, best_score = priority, score
-        if best_lane is None:
-            return None
-        entry = self._lanes[best_lane].popleft()
-        entry.live = False
-        self._live[best_lane] -= 1
-        return entry
-
-    def pop(self, timeout: float | None = None) -> tuple[Any, CancelToken] | None:
-        """Next live ``(item, token)``, or ``None`` on timeout / drained close.
-
-        ``timeout`` is a total deadline, not a per-wait budget: a worker
-        woken by a notify whose item another worker stole (or whose
-        token was cancelled while queued) goes back to waiting on the
-        *remainder*, so ``pop(timeout=t)`` returns within ``t`` of the
-        call no matter how many fruitless wake-ups happen in between.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while True:
-                entry = self._next_entry()
-                if entry is not None:
-                    return entry.item, entry.token
-                if self._closed:
-                    return None
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                    return None
-
-    def close(self) -> None:
-        """Refuse new pushes and wake every blocked ``pop``."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __len__(self) -> int:
-        with self._cond:
-            return sum(self._live.values())
-
-    # -- inspection (service metrics / overload shedding) ----------------
-    def now(self) -> float:
-        """The queue's clock, for interpreting ``snapshot_entries`` ages."""
-        return self._clock()
-
-    def lane_snapshot(self) -> dict[str, dict]:
-        """Per-lane live depth and oldest wait (seconds), for ``/metrics``."""
-        with self._cond:
-            now = self._clock()
-            body: dict[str, dict] = {}
-            for priority in PRIORITIES:
-                oldest = None
-                for entry in self._lanes[priority]:
-                    if entry.live:
-                        oldest = now - entry.enqueued_at
-                        break
-                body[priority] = {
-                    "depth": self._live[priority],
-                    "oldest_wait": oldest,
-                }
-            return body
-
-    def oldest_wait(self) -> float:
-        """Seconds the longest-waiting live item has queued (0 if empty)."""
-        with self._cond:
-            now = self._clock()
-            oldest = 0.0
-            for lane in self._lanes.values():
-                for entry in lane:
-                    if entry.live:
-                        oldest = max(oldest, now - entry.enqueued_at)
-                        break
-            return oldest
-
-    def snapshot_entries(self) -> list[tuple[Any, CancelToken, str, float]]:
-        """Live ``(item, token, priority, enqueued_at)`` rows (shed picker)."""
-        with self._cond:
-            return [
-                (entry.item, entry.token, entry.priority, entry.enqueued_at)
-                for lane in self._lanes.values()
-                for entry in lane
-                if entry.live
-            ]

@@ -753,7 +753,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8100,
                        help="listen port (0 = pick a free one)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="service worker threads draining the job queue")
+                       help="service worker threads claiming from the "
+                            "in-memory job ledger")
     serve.add_argument("--jobs", type=int, default=1,
                        help="solver worker processes per batch (1 = in-process)")
     serve.add_argument("--portfolio", action="store_true",

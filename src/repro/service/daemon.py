@@ -7,9 +7,13 @@ BatchMapper`, one :class:`~repro.batch.cache.ResultCache` and one
 the same state: a job solved for one client is a zero-solve answer for
 every later client that asks the same question.
 
-Submissions flow ``HTTP -> JobRegistry -> JobQueue -> worker thread(s)
--> Explorer``; progress flows back as registry events that ``GET
-/jobs/<id>/stream`` serves as NDJSON.  Endpoints:
+Submissions flow ``HTTP -> JobRegistry -> JobLedger -> worker -> Explorer``;
+progress flows back as registry events that ``GET /jobs/<id>/stream``
+serves as NDJSON.  Both modes schedule on one :class:`~repro.service.
+ledger.JobLedger`: thread mode keeps it in memory and its worker threads
+claim from it directly; ``--fleet`` journals it and a :class:`Supervisor`
+claims on behalf of worker processes.  Lanes, aging, the depth bound,
+deadlines and shedding are therefore written once.  Endpoints:
 
 ==========================  =============================================
 ``POST /jobs``              submit (wire format, see :mod:`.wire`) -> 202
@@ -57,12 +61,7 @@ from pathlib import Path
 from dataclasses import replace as dataclass_replace
 
 from .. import trace
-from ..batch.queue import (
-    DEFAULT_AGING_INTERVAL,
-    JobQueue,
-    QueueFull,
-    effective_priority,
-)
+from ..batch.queue import DEFAULT_AGING_INTERVAL, QueueFull, effective_priority
 from ..dse.explorer import Explorer
 from ..dse.store import TIER_GREEDY
 from .admission import AdmissionController, AdmissionDenied
@@ -75,7 +74,7 @@ from .jobs import (
     JobRegistry,
     ServiceJob,
 )
-from .ledger import LEASE_DEAD_LETTER, LEASE_PENDING, JobLedger
+from .ledger import LEASE_DEAD_LETTER, LEASE_PENDING, JobLedger, LedgerJob
 from .metrics import JsonlWriter, LoopLatencyProbe, ServiceMetrics
 from .wire import (
     TERMINAL_STATUSES,
@@ -103,7 +102,7 @@ class PayloadTooLarge(ValueError):
 
 
 class MappingService:
-    """Worker loop over one shared explorer, fed by a job queue.
+    """Worker loop over one shared explorer, fed by a job ledger.
 
     ``journal_path`` makes the job registry persistent: every state
     transition is appended (write-behind) to a JSONL journal that the
@@ -189,13 +188,10 @@ class MappingService:
             journal=self._journal,
             observers=tuple(observers),
             # Fleet mode replays unfinished jobs as re-runnable (the
-            # ledger still owes them work); single-process mode's queue
-            # died with the old process, so they replay as errors.
+            # journaled ledger still owes them work); thread mode's
+            # in-memory ledger died with the old process, so they replay
+            # as errors.
             fail_unfinished=not fleet,
-        )
-        self.queue = JobQueue(
-            maxsize=None if fleet else max_queue_depth,
-            aging_interval=aging_interval,
         )
         self.workers = workers
         # The shared engine reports solve progress into the same sink.
@@ -204,17 +200,18 @@ class MappingService:
         self._threads: list[threading.Thread] = []
         self._shed_stop = threading.Event()
         self._started = False
-        self.ledger: JobLedger | None = None
+        # One scheduler for both modes: in memory for worker threads,
+        # journaled for the fleet.
+        self.ledger = JobLedger(
+            ledger_path if fleet else None,
+            max_attempts=self.fleet_config.max_attempts,
+            lease_ttl=self.fleet_config.lease_ttl,
+            backoff_base=self.fleet_config.backoff_base,
+            backoff_cap=self.fleet_config.backoff_cap,
+            aging_interval=aging_interval,
+        )
         self.supervisor: Supervisor | None = None
         if fleet:
-            self.ledger = JobLedger(
-                ledger_path,
-                max_attempts=self.fleet_config.max_attempts,
-                lease_ttl=self.fleet_config.lease_ttl,
-                backoff_base=self.fleet_config.backoff_base,
-                backoff_cap=self.fleet_config.backoff_cap,
-                aging_interval=aging_interval,
-            )
             self.supervisor = Supervisor(self, fleet, self.fleet_config, self.ledger)
         # Replayed-but-unfinished jobs were admitted by the previous
         # process; they still occupy their client's in-flight quota here.
@@ -248,7 +245,10 @@ class MappingService:
             return
         for index in range(self.workers):
             thread = threading.Thread(
-                target=self._worker, name=f"repro-service-worker-{index}", daemon=True
+                target=self._worker,
+                args=(f"thread-{index}",),
+                name=f"repro-service-worker-{index}",
+                daemon=True,
             )
             thread.start()
             self._threads.append(thread)
@@ -259,17 +259,17 @@ class MappingService:
         Fleet mode drains: leased jobs get up to the configured
         ``drain_timeout`` to finish, the rest are re-queued (without
         charging their retry budget) for the next daemon on this ledger.
+        Thread mode lets running jobs finish and cancels the backlog.
         """
-        self.queue.close()
         self._probe.stop()
         self._shed_stop.set()
         if self.supervisor is not None:
             self.supervisor.stop(wait=wait)
+        # Wakes idle worker threads: they cancel what is left, then exit.
+        self.ledger.close()
         if wait:
             for thread in self._threads:
                 thread.join(timeout=timeout)
-        if self.ledger is not None:
-            self.ledger.close()
         for writer in (self._journal, self._job_log):
             if writer is not None:
                 writer.close()
@@ -277,12 +277,6 @@ class MappingService:
             self.trace_runtime.flush()
 
     # ------------------------------------------------------------------
-    def _queue_depth(self) -> int:
-        """Jobs owed work (fleet: ledger pending+leased; else the queue)."""
-        if self.ledger is not None:
-            return self.ledger.depth()
-        return len(self.queue)
-
     def _retry_after_hint(self, depth: int) -> float:
         """Seconds a 429'd client should wait before resubmitting.
 
@@ -303,7 +297,8 @@ class MappingService:
         ``Retry-After``, never a half-registered job.  Raises
         :class:`~repro.service.admission.AdmissionDenied` (a
         :class:`~repro.batch.queue.QueueFull`) on quota, or plain
-        ``QueueFull`` when the bounded global depth is reached.
+        ``QueueFull`` when the outstanding jobs (pending + running) are
+        at the bounded global depth.
         """
         try:
             self.admission.admit(spec.client)
@@ -312,10 +307,10 @@ class MappingService:
             if exc.retry_after is None:
                 # In-flight rejections clear when a job finishes; the
                 # backlog-based hint is the honest estimate of when.
-                exc.retry_after = self._retry_after_hint(self._queue_depth())
+                exc.retry_after = self._retry_after_hint(self.ledger.depth())
             raise
         if self.max_queue_depth is not None:
-            depth = self._queue_depth()
+            depth = self.ledger.depth()
             if depth >= self.max_queue_depth:
                 self.admission.release(spec.client)
                 self.metrics.inc("backpressure_rejections")
@@ -340,27 +335,29 @@ class MappingService:
             )
         # From here the in-flight charge is released by the terminal-
         # event observer — every path below ends terminal eventually.
-        if self.ledger is not None:
+        try:
             self.ledger.enqueue(
                 job.id,
                 spec.payload(),
                 priority=spec.priority,
                 deadline_at=job.deadline_at,
+                max_depth=self.max_queue_depth,
             )
-            return job
-        try:
-            self.queue.push(job, token=job.token, priority=spec.priority)
         except QueueFull as exc:  # a concurrent submit won the last slot
             self.metrics.inc("backpressure_rejections")
             self.registry.finish(job, JOB_ERROR, error="queue full")
-            exc.retry_after = self._retry_after_hint(len(self.queue))
+            exc.retry_after = self._retry_after_hint(self.ledger.depth())
             raise
         except RuntimeError:  # shutdown raced the submission
             self.registry.finish(job, JOB_ERROR, error="service is shutting down")
         return job
 
     def cancel(self, job_id: str) -> ServiceJob | None:
-        return self.registry.cancel(job_id)
+        job = self.registry.cancel(job_id)
+        if job is not None and job.finished:
+            # A queued job ends at once: its ledger slot frees with it.
+            self.ledger.finish(job.id, job.status)
+        return job
 
     # -- tracing -------------------------------------------------------
     def _job_context(self, job: ServiceJob) -> "trace.TraceContext | None":
@@ -445,70 +442,33 @@ class MappingService:
         if self.shed_after is None:
             return 0
         now = time.time() if now is None else now
-        if self.ledger is not None:
-            pending = self.ledger.pending_snapshot()
-            if not pending:
-                return 0
-            if max(now - lease.enqueued_at for lease in pending) <= self.shed_after:
-                return 0
-            victims = sorted(
-                pending,
-                key=lambda lease: effective_priority(
-                    lease.priority, now - lease.enqueued_at, self.aging_interval
-                ),
-                reverse=True,  # worst effective priority sheds first
-            )[: max(1, len(pending) // 2)]
-            shed = 0
-            for lease in victims:
-                self.ledger.finish(lease.id, JOB_SHED)
-                job = self.registry.get(lease.id)
-                if job is not None and not job.finished:
-                    self.registry.finish(
-                        job,
-                        JOB_SHED,
-                        error=(
-                            "shed under overload after "
-                            f"{now - lease.enqueued_at:.1f}s queued; resubmit"
-                        ),
-                        extra={"spec": lease.spec},
-                    )
-                shed += 1
-            return shed
-        entries = self.queue.snapshot_entries()
-        if not entries:
+        pending = self.ledger.pending_snapshot()
+        if not pending:
             return 0
-        queue_now = self.queue.now()  # entries carry the queue's clock
-        if max(queue_now - row[3] for row in entries) <= self.shed_after:
+        if max(now - lease.enqueued_at for lease in pending) <= self.shed_after:
             return 0
         victims = sorted(
-            entries,
-            key=lambda row: effective_priority(
-                row[2], queue_now - row[3], self.aging_interval
+            pending,
+            key=lambda lease: effective_priority(
+                lease.priority, now - lease.enqueued_at, self.aging_interval
             ),
-            reverse=True,
-        )[: max(1, len(entries) // 2)]
-        shed = 0
-        for job, token, _priority, enqueued_at in victims:
-            if job.finished or token.cancelled:
-                continue
-            self.registry.finish(
-                job,
-                JOB_SHED,
-                error=(
-                    "shed under overload after "
-                    f"{queue_now - enqueued_at:.1f}s queued; resubmit"
-                ),
-                extra={"spec": job.spec.payload()},
-            )
-            token.cancel()  # drops the entry from the queue
-            shed += 1
-        return shed
-
-    def _lane_snapshot(self) -> dict:
-        """Per-lane depth and oldest wait (queue or ledger, whichever runs)."""
-        if self.ledger is not None:
-            return self.ledger.lane_snapshot()
-        return self.queue.lane_snapshot()
+            reverse=True,  # worst effective priority sheds first
+        )[: max(1, len(pending) // 2)]
+        for lease in victims:
+            self.ledger.finish(lease.id, JOB_SHED)
+            job = self.registry.get(lease.id)
+            if job is not None and not job.finished:
+                self.registry.finish(
+                    job,
+                    JOB_SHED,
+                    error=(
+                        "shed under overload after "
+                        f"{now - lease.enqueued_at:.1f}s queued; resubmit"
+                    ),
+                    extra={"spec": lease.spec},
+                )
+                job.token.cancel()  # a worker that just claimed it stops
+        return len(victims)
 
     def stats(self) -> dict:
         """The ``/healthz`` body: liveness plus shared-state counters."""
@@ -518,19 +478,19 @@ class MappingService:
             "status": "ok",
             "format": WIRE_FORMAT,
             "workers": self.fleet or self.workers,
-            "queued": self._queue_depth(),
+            "queued": self.ledger.depth(),
             "jobs": self.registry.counts(),
             "cache": cache.stats.snapshot() if cache is not None else None,
             "store_entries": len(store),
             "store_path": str(store.path) if store.path is not None else None,
             "admission": self.admission.snapshot(),
-            "lanes": self._lane_snapshot(),
+            "lanes": self.ledger.lane_snapshot(),
         }
         if self.max_queue_depth is not None:
             body["max_queue_depth"] = self.max_queue_depth
         if self.shed_after is not None:
             body["shed_after"] = self.shed_after
-        if self.supervisor is not None and self.ledger is not None:
+        if self.supervisor is not None:
             body["fleet"] = self.supervisor.snapshot()
             body["ledger"] = self.ledger.counts()
         return body
@@ -556,11 +516,11 @@ class MappingService:
             "status": "ok",
             "uptime": snapshot["uptime"],
             "workers": self.fleet or self.workers,
-            "queue_depth": self._queue_depth(),
+            "queue_depth": self.ledger.depth(),
             "backpressure_rejections": counters.get("backpressure_rejections", 0),
             "admission": self.admission.snapshot(),
             "admission_throttled": counters.get("admission_throttled", 0),
-            "lanes": self._lane_snapshot(),
+            "lanes": self.ledger.lane_snapshot(),
             "solves_in_flight": gauges.get("solves_in_flight", 0),
             "jobs": {
                 "by_state": self.registry.counts(),
@@ -604,68 +564,128 @@ class MappingService:
                 "slow_spans": self.trace_runtime.slow_spans,
                 "slow_span_threshold": self.trace_runtime.slow_span_threshold,
             }
-        if self.supervisor is not None and self.ledger is not None:
+        if self.supervisor is not None:
             body["fleet"] = self.supervisor.snapshot()
             body["ledger"] = self.ledger.counts()
         return body
 
-    # ------------------------------------------------------------------
-    def _worker(self) -> None:
+    # -- scheduling (shared by worker threads and the fleet) -------------
+    def _sweep_deadlines(self) -> None:
+        # Pending jobs past their deadline finish as JOB_DEADLINE without
+        # ever being leased: zero mapper invocations, zero retry charge.
+        for lease in self.ledger.deadline_expired():
+            job = self.registry.get(lease.id)
+            if job is not None and not job.finished:
+                self.registry.finish(
+                    job, JOB_DEADLINE, error="deadline exceeded before start"
+                )
+
+    def _claim(self, worker: str) -> tuple[LedgerJob, ServiceJob] | None:
+        """Lease the next runnable job to ``worker``, or ``None``.
+
+        Lapsed deadlines are swept first; a claimed job the registry
+        lost is adopted from its spec, and one that is already terminal
+        (cancelled or shed while pending) or unparseable is closed out
+        and skipped.  The claim records the job's queue wait.
+        """
+        self._sweep_deadlines()
         while True:
-            popped = self.queue.pop(timeout=0.2)
-            if popped is None:
-                if self.queue.closed:
-                    return
+            lease = self.ledger.claim(worker)
+            if lease is None:
+                return None
+            job = self.registry.get(lease.id)
+            if job is None:
+                try:
+                    job = self.registry.adopt(lease.id, parse_job(lease.spec))
+                except WireError:
+                    self.ledger.finish(lease.id, "dropped: unparseable spec")
+                    continue
+            if job.finished:
+                self.ledger.finish(lease.id, job.status)
                 continue
-            job, _token = popped
-            if self.queue.closed:
+            break
+        now = time.time()
+        waited = max(0.0, now - job.submitted_at)
+        self.metrics.observe("queue_wait", waited)
+        self.metrics.observe(f"queue_wait_{lease.priority}", waited)
+        context = self._job_context(job)
+        if context is not None:
+            # Queue wait: ledger enqueue (or submission) to claim.
+            enqueued = lease.enqueued_at or job.submitted_at
+            trace.record_span(
+                "queue",
+                context,
+                start=enqueued,
+                duration=max(0.0, now - enqueued),
+                job=lease.id,
+                priority=lease.priority,
+                worker=worker,
+            )
+        return lease, job
+
+    def _complete(
+        self,
+        job: ServiceJob,
+        results: list[dict],
+        cancelled: bool = False,
+        error: str | None = None,
+    ) -> None:
+        """End a run: record its results, then the terminal state in the
+        registry and the ledger, then seal the trace.
+
+        A job a cancel (or shed) already made terminal keeps that state;
+        the results of the run are dropped with it.
+        """
+        registry = self.registry
+        if not job.finished:
+            for result in results:
+                registry.add_result(job, result)
+            failed = sum(1 for r in job.results if r.get("status") != "ok")
+            if cancelled or job.token.cancelled:
+                registry.finish(job, JOB_CANCELLED)
+            elif error is not None:
+                registry.finish(job, JOB_ERROR, error=error)
+            elif failed:
+                # Deterministic per-scenario failures (construction errors,
+                # infeasible instances) are answers, not crashes.
+                registry.finish(job, JOB_ERROR, error=f"{failed} scenario(s) failed")
+            else:
+                registry.finish(job, JOB_DONE)
+        self.ledger.finish(job.id, job.status)
+        self._finish_trace(job)
+
+    def _worker(self, name: str) -> None:
+        while True:
+            claimed = self._claim(name)
+            if claimed is None:
+                if self.ledger.closed:
+                    return
+                self.ledger.wait(timeout=0.5)
+                continue
+            _lease, job = claimed
+            if self.ledger.closed:
                 # Shutdown: the backlog is cancelled, not executed — a
                 # 202-accepted job must end terminal (with an event), not
                 # vanish mid-solve when the process exits.
-                job.token.cancel()
-                self.registry.finish(job, JOB_CANCELLED)
+                self.cancel(job.id)
                 continue
-            waited = time.time() - job.submitted_at
-            self.metrics.observe("queue_wait", waited)
-            self.metrics.observe(f"queue_wait_{job.spec.priority}", waited)
             started = time.monotonic()
             try:
                 self._run_job(job)
             except Exception as exc:  # defensive: a bug must not kill the loop
-                self.registry.finish(
-                    job, JOB_ERROR, error=f"{type(exc).__name__}: {exc}"
-                )
+                self._complete(job, [], error=f"{type(exc).__name__}: {exc}")
             finally:
                 self.metrics.observe("job_duration", time.monotonic() - started)
-                self._finish_trace(job)
 
     def _run_job(self, job: ServiceJob) -> None:
-        if job.deadline_at is not None and job.deadline_at <= time.time():
-            # Past its end-to-end deadline before it ever started: fail
-            # fast — no "running" transition, no mapper invocation, no
-            # solve burned on an answer the caller stopped wanting.
-            self.registry.finish(
-                job, JOB_DEADLINE, error="deadline exceeded before start"
-            )
-            return
-        # start() refusing means a cancel won the race after the pop —
+        # start() refusing means a cancel won the race after the claim —
         # the job is already terminal and must not be resurrected.
-        if job.token.cancelled or not self.registry.start(job):
-            self.registry.finish(job, JOB_CANCELLED)
+        if not self.registry.start(job):
+            self._complete(job, [])
             return
         spec = job.spec
         scenarios = list(spec.scenarios)
-        context = self._job_context(job)
-        if context is not None:
-            trace.record_span(
-                "queue",
-                context,
-                start=job.submitted_at,
-                duration=max(0.0, (job.started_at or time.time()) - job.submitted_at),
-                job=job.id,
-                priority=spec.priority,
-            )
-        with trace.activate(context, job.id):
+        with trace.activate(self._job_context(job), job.id):
             with trace.span("solve", job=job.id, tier=spec.tier):
                 if spec.tier == TIER_GREEDY:
                     results = self.explorer.evaluate_greedy(scenarios)
@@ -685,18 +705,7 @@ class MappingService:
                         ),
                         should_cancel=job.token,
                     )
-        for result in results:
-            self.registry.add_result(job, result_payload(result))
-        if job.token.cancelled:
-            self.registry.finish(job, JOB_CANCELLED)
-            return
-        failed = [r for r in job.results if r.get("status") != "ok"]
-        if failed:
-            self.registry.finish(
-                job, JOB_ERROR, error=f"{len(failed)} scenario(s) failed"
-            )
-        else:
-            self.registry.finish(job, JOB_DONE)
+        self._complete(job, [result_payload(result) for result in results])
 
 
 # ----------------------------------------------------------------------
@@ -712,6 +721,7 @@ class _WorkerHandle:
         self.pid: int | None = None
         self.ready = False
         self.job: str | None = None  # currently dispatched job id
+        self.started = False  # the worker reported "started" for ``job``
         self.dispatched_at: float | None = None
         self.restarts = 0
 
@@ -725,7 +735,9 @@ class _WorkerHandle:
             "pid": self.pid,
             "alive": self.alive,
             "ready": self.ready,
-            "job": self.job,
+            # Shown once the worker picked the job up, not at dispatch:
+            # a worker listed with a job is inside that job's solve.
+            "job": self.job if self.started else None,
             "restarts": self.restarts,
         }
 
@@ -740,11 +752,14 @@ class Supervisor:
     carries journal/probe/handler threads) and own crash-safe state
     only, so ``kill -9`` on any of them costs one lease TTL, not data.
 
-    Result-cache merging: each worker publishes finished payloads into
-    its own ``worker-<i>`` shard of the cache directory; the supervisor
-    copies new fingerprints into a ``merged`` shard after each result
-    and primes new workers' shards from it, so a mapping solved by one
-    worker is a disk hit for every later one.
+    Jobs are claimed and finished through the service's own helpers
+    (``MappingService._claim`` / ``_complete``), the same path its worker
+    threads use in thread mode.
+
+    The result cache is one directory shared by the daemon and every
+    worker: each publishes entries atomically under a writer-unique
+    temporary name, so a mapping solved by one worker is a disk hit for
+    every other one at once, with nothing to copy between processes.
     """
 
     #: Control-loop tick; also the message-drain poll timeout.
@@ -774,12 +789,6 @@ class Supervisor:
         self._trace_offsets: dict[str, int] = {}
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def merged_cache_dir(self) -> Path | None:
-        if self.config.cache_dir is None:
-            return None
-        return Path(self.config.cache_dir) / "merged"
-
     def start(self) -> None:
         if self._started:
             return
@@ -837,7 +846,6 @@ class Supervisor:
                 if process.is_alive():  # pragma: no cover - last resort
                     process.kill()
                     process.join(timeout=2.0)
-                self._merge_cache(handle.index)
             self._merge_trace()
 
     # -- startup reconcile ---------------------------------------------
@@ -881,7 +889,6 @@ class Supervisor:
         handle.cancel_event = self._ctx.Event()
         handle.ready = False
         handle.job = None
-        self._prime_cache(handle.index)
         process = self._ctx.Process(
             target=worker_main,
             args=(
@@ -911,7 +918,7 @@ class Supervisor:
             with self._lock:
                 self._reap_dead()
                 self._expire_leases()
-                self._sweep_deadlines()
+                self.service._sweep_deadlines()
                 self._propagate_cancels()
                 self._dispatch()
         self._drain_messages()  # a last sweep so results beat shutdown
@@ -956,6 +963,8 @@ class Supervisor:
                     self.service.metrics.set_solver_progress(job_id, progress)
                 return
             if kind == "started":
+                if handle is not None and handle.job == job_id:
+                    handle.started = True
                 job = self.service.registry.get(job_id)
                 if job is not None and not self.service.registry.start(job):
                     # A cancel won the race: tell the worker to bail at
@@ -1008,7 +1017,6 @@ class Supervisor:
         results: list[dict],
         worker_cancelled: bool,
     ) -> None:
-        registry = self.service.registry
         lease_duration = None
         lease_worker = None
         if handle is not None and handle.job == job_id:
@@ -1017,9 +1025,8 @@ class Supervisor:
                 lease_worker = handle.name
             self._observe_duration(handle)
             handle.job = None
-            self._merge_cache(handle.index)
             self._merge_trace()
-        job = registry.get(job_id)
+        job = self.service.registry.get(job_id)
         if job is None:  # evicted mid-flight; the answer is in the store
             self.ledger.finish(job_id, JOB_DONE)
             return
@@ -1035,27 +1042,7 @@ class Supervisor:
                 job=job_id,
                 worker=lease_worker,
             )
-        if job.finished:  # a cancel landed while the result was in transit
-            self.ledger.finish(job_id, job.status)
-            return
-        for result in results:
-            registry.add_result(job, result)
-        if worker_cancelled or job.token.cancelled:
-            registry.finish(job, JOB_CANCELLED)
-            self.ledger.finish(job_id, JOB_CANCELLED)
-            self.service._finish_trace(job)
-            return
-        failed = [r for r in results if r.get("status") != "ok"]
-        if failed:
-            # Deterministic per-scenario failures (construction errors,
-            # infeasible instances) are answers, not crashes: finishing
-            # mirrors single-process mode instead of burning retries.
-            registry.finish(job, JOB_ERROR, error=f"{len(failed)} scenario(s) failed")
-            self.ledger.finish(job_id, JOB_ERROR)
-        else:
-            registry.finish(job, JOB_DONE)
-            self.ledger.finish(job_id, JOB_DONE)
-        self.service._finish_trace(job)
+        self.service._complete(job, results, cancelled=worker_cancelled)
 
     def _attempt_failed(self, job_id: str, error: str) -> None:
         state = self.ledger.fail_attempt(job_id, error)
@@ -1085,8 +1072,7 @@ class Supervisor:
             handle.process = None
             handle.ready = False
             job_id, handle.job = handle.job, None
-            self._merge_cache(handle.index)  # salvage finished payloads
-            self._merge_trace()  # salvage the dead worker's spans too
+            self._merge_trace()  # salvage the dead worker's spans
             if job_id is not None:
                 self._observe_duration(handle)
                 self._attempt_failed(
@@ -1113,16 +1099,6 @@ class Supervisor:
                     holder.process.terminate()
             self._attempt_failed(lease.id, "lease expired (missed heartbeats)")
 
-    def _sweep_deadlines(self) -> None:
-        # Pending jobs past their deadline finish as JOB_DEADLINE without
-        # ever being leased: zero mapper invocations, zero retry charge.
-        for lease in self.ledger.deadline_expired():
-            job = self.service.registry.get(lease.id)
-            if job is not None and not job.finished:
-                self.service.registry.finish(
-                    job, JOB_DEADLINE, error="deadline exceeded before start"
-                )
-
     def _propagate_cancels(self) -> None:
         for handle in self._handles:
             if handle.job is None or handle.cancel_event is None:
@@ -1138,44 +1114,17 @@ class Supervisor:
     def _dispatch(self) -> None:
         if self._draining:
             return
-        registry = self.service.registry
         for handle in self._handles:
             if not (handle.ready and handle.alive and handle.job is None):
                 continue
-            while True:
-                lease = self.ledger.claim(handle.name)
-                if lease is None:
-                    return
-                job = registry.get(lease.id)
-                if job is None:
-                    try:
-                        job = registry.adopt(lease.id, parse_job(lease.spec))
-                    except WireError:
-                        self.ledger.finish(lease.id, "dropped: unparseable spec")
-                        continue
-                if job.finished:  # cancelled while pending
-                    self.ledger.finish(lease.id, job.status)
-                    continue
-                break
+            claimed = self.service._claim(handle.name)
+            if claimed is None:
+                return
+            lease, job = claimed
             handle.cancel_event.clear()
             handle.job = lease.id
+            handle.started = False
             handle.dispatched_at = time.monotonic()
-            waited = max(0.0, time.time() - job.submitted_at)
-            self.service.metrics.observe("queue_wait", waited)
-            self.service.metrics.observe(f"queue_wait_{lease.priority}", waited)
-            context = self.service._job_context(job)
-            if context is not None:
-                # Queue wait: ledger enqueue (or submission) to claim.
-                enqueued = getattr(lease, "enqueued_at", None) or job.submitted_at
-                trace.record_span(
-                    "queue",
-                    context,
-                    start=enqueued,
-                    duration=max(0.0, time.time() - enqueued),
-                    job=lease.id,
-                    priority=lease.priority,
-                    worker=handle.name,
-                )
             try:
                 handle.task_queue.put(
                     {
@@ -1208,37 +1157,6 @@ class Supervisor:
             self._trace_offsets[source.name] = trace.merge_journal(
                 source, dest, offset
             )
-
-    # -- result-cache merging ------------------------------------------
-    def _prime_cache(self, worker_id: int) -> None:
-        merged = self.merged_cache_dir
-        worker_dir = self.config.worker_cache_dir(worker_id)
-        if merged is None or worker_dir is None or not merged.exists():
-            return
-        self._copy_new_entries(merged, Path(worker_dir))
-
-    def _merge_cache(self, worker_id: int) -> None:
-        merged = self.merged_cache_dir
-        worker_dir = self.config.worker_cache_dir(worker_id)
-        if merged is None or worker_dir is None:
-            return
-        source = Path(worker_dir)
-        if source.exists():
-            self._copy_new_entries(source, merged)
-
-    @staticmethod
-    def _copy_new_entries(source: Path, target: Path) -> None:
-        target.mkdir(parents=True, exist_ok=True)
-        for entry in source.glob("*.json"):
-            destination = target / entry.name
-            if destination.exists():
-                continue  # fingerprints are content-addressed: same answer
-            tmp = destination.with_suffix(".json.tmp")
-            try:
-                tmp.write_bytes(entry.read_bytes())
-                tmp.replace(destination)  # atomic publish, like the cache
-            except OSError:
-                continue
 
     # -- inspection ----------------------------------------------------
     def snapshot(self) -> dict:

@@ -16,11 +16,14 @@ Every job moves through a small lease state machine::
                                                v  after max_attempts
                                           DEAD_LETTER
 
-A worker *claims* a pending job, receiving a lease with a TTL, and
-renews it via heartbeat while solving.  If the worker dies (SIGKILL, OOM
-kill, hang), its heartbeats stop, the lease expires, and the supervisor
-re-queues the job with exponential backoff — bounded by ``max_attempts``,
-after which the job is dead-lettered instead of retried forever.  A
+The daemon runs every job through a ledger: thread mode on an in-memory
+one (``path=None``), ``--fleet`` on a journaled one.  A worker — a
+thread or a fleet process — *claims* a pending job, receiving a lease
+with a TTL, and renews it via heartbeat while solving.  If a fleet
+worker dies (SIGKILL, OOM kill, hang), its heartbeats stop, the lease
+expires, and the supervisor re-queues the job with exponential backoff
+— bounded by ``max_attempts``, after which the job is dead-lettered
+instead of retried forever.  A
 daemon restart re-queues leased jobs immediately *without* charging the
 retry budget: the worker didn't fail, the whole process went away.
 
@@ -44,6 +47,7 @@ from ..batch.queue import (
     PRIORITIES,
     PRIORITY_NORMAL,
     PRIORITY_RANK,
+    QueueFull,
     effective_priority,
 )
 from .metrics import JsonlWriter, read_jsonl
@@ -100,9 +104,14 @@ class LedgerJob:
 class JobLedger:
     """Thread-safe, journal-backed lease ledger.
 
-    ``path=None`` keeps the ledger in memory (tests, ``--fleet 0``);
+    ``path=None`` keeps the ledger in memory (thread mode, tests);
     otherwise every transition is journaled and replayed on restart.
     All public methods take the internal lock; callers never hold it.
+
+    Every record stays in ``_jobs`` (``get``/``jobs`` see them all), but
+    the scans a scheduler runs per claim or tick walk ``_live`` — the
+    non-terminal jobs in insertion order — so their cost follows the
+    backlog, not the ledger's lifetime.
     """
 
     def __init__(
@@ -127,7 +136,11 @@ class JobLedger:
         self.backoff_cap = backoff_cap
         self.aging_interval = aging_interval
         self._jobs: dict[str, LedgerJob] = {}
+        self._live: dict[str, LedgerJob] = {}  # non-terminal, insertion order
         self._lock = threading.Lock()
+        # Wakes claimers blocked in wait(): enqueue notifies one, close all.
+        self._cond = threading.Condition(self._lock)
+        self._closed = False
         self._replay_skipped = 0
         self._counters = {
             "leases_granted": 0,
@@ -227,6 +240,9 @@ class JobLedger:
                 self._replay_skipped += 1
         with self._lock:
             self._jobs.update(jobs)
+            self._live.update(
+                (job_id, job) for job_id, job in jobs.items() if not job.terminal
+            )
             for job in jobs.values():
                 if job.state == LEASE_LEASED:
                     job.state = LEASE_PENDING
@@ -249,6 +265,13 @@ class JobLedger:
         """Journal lines dropped during replay (torn/stale/orphaned)."""
         return self._replay_skipped
 
+    def _retire(self, job: LedgerJob) -> None:
+        # Caller holds the lock and has just moved ``job`` to a terminal
+        # state: it leaves the live index, never the record map.
+        job.worker = None
+        job.lease_expires = None
+        self._live.pop(job.id, None)
+
     # -- transitions ---------------------------------------------------
     def enqueue(
         self,
@@ -256,8 +279,15 @@ class JobLedger:
         spec: dict,
         priority: str = PRIORITY_NORMAL,
         deadline_at: float | None = None,
+        max_depth: int | None = None,
     ) -> LedgerJob:
-        """Add a pending job (idempotent: an existing id is returned)."""
+        """Add a pending job (idempotent: an existing id is returned).
+
+        ``max_depth`` bounds the outstanding jobs (pending + leased):
+        checked under the ledger's lock, so concurrent submitters can
+        never overshoot it.  Raises :class:`~repro.batch.queue.QueueFull`
+        at the bound and ``RuntimeError`` once the ledger is closed.
+        """
         if priority not in PRIORITY_RANK:
             raise ValueError(
                 f"unknown priority {priority!r}; choose from {PRIORITIES}"
@@ -266,6 +296,10 @@ class JobLedger:
             existing = self._jobs.get(job_id)
             if existing is not None:
                 return existing
+            if self._closed:
+                raise RuntimeError("ledger is closed")
+            if max_depth is not None and len(self._live) >= max_depth:
+                raise QueueFull(f"queue is at its bounded depth ({max_depth})")
             job = LedgerJob(
                 id=job_id,
                 spec=dict(spec),
@@ -273,12 +307,14 @@ class JobLedger:
                 deadline_at=deadline_at,
             )
             self._jobs[job_id] = job
+            self._live[job_id] = job
             record = {"event": "enqueued", "job": job_id, "spec": job.spec}
             if priority != PRIORITY_NORMAL:
                 record["priority"] = priority
             if deadline_at is not None:
                 record["deadline_at"] = deadline_at
             self._append(record)
+            self._cond.notify()
             return job
 
     def claim(self, worker: str, now: float | None = None) -> LedgerJob | None:
@@ -297,7 +333,7 @@ class JobLedger:
         with self._lock:
             best: LedgerJob | None = None
             best_score = 0.0
-            for job in self._jobs.values():  # insertion order == FIFO tie-break
+            for job in self._live.values():  # insertion order == FIFO tie-break
                 if job.state != LEASE_PENDING or job.not_before > now:
                     continue
                 if job.deadline_at is not None and job.deadline_at <= now:
@@ -350,9 +386,8 @@ class JobLedger:
             if job is None or job.terminal:
                 return
             job.state = LEASE_FINISHED
-            job.worker = None
-            job.lease_expires = None
             job.outcome = outcome
+            self._retire(job)
             self._append({"event": "finished", "job": job_id, "outcome": outcome})
 
     def fail_attempt(
@@ -374,6 +409,7 @@ class JobLedger:
             job.last_error = error
             if job.attempts >= self.max_attempts:
                 job.state = LEASE_DEAD_LETTER
+                self._retire(job)
                 self._counters["dead_letters"] += 1
                 self._append({"event": "dead_letter", "job": job_id, "error": error})
                 return LEASE_DEAD_LETTER
@@ -434,7 +470,7 @@ class JobLedger:
         now = time.time() if now is None else now
         with self._lock:
             lapsed = []
-            for job in self._jobs.values():
+            for job in self._live.values():
                 if (
                     job.state == LEASE_LEASED
                     and job.lease_expires is not None
@@ -457,16 +493,15 @@ class JobLedger:
         now = time.time() if now is None else now
         with self._lock:
             swept = []
-            for job in self._jobs.values():
+            for job in list(self._live.values()):
                 if (
                     job.state == LEASE_PENDING
                     and job.deadline_at is not None
                     and job.deadline_at <= now
                 ):
                     job.state = LEASE_FINISHED
-                    job.worker = None
-                    job.lease_expires = None
                     job.outcome = "deadline"
+                    self._retire(job)
                     self._counters["deadline_expired"] += 1
                     self._append(
                         {"event": "finished", "job": job.id, "outcome": "deadline"}
@@ -492,7 +527,7 @@ class JobLedger:
     def depth(self) -> int:
         """Jobs still owed work (pending + leased)."""
         with self._lock:
-            return sum(1 for job in self._jobs.values() if not job.terminal)
+            return len(self._live)
 
     def lane_snapshot(self, now: float | None = None) -> dict[str, dict]:
         """Per-lane pending depth and oldest wait, for ``/metrics``."""
@@ -501,7 +536,7 @@ class JobLedger:
             body: dict[str, dict] = {
                 lane: {"depth": 0, "oldest_wait": None} for lane in PRIORITIES
             }
-            for job in self._jobs.values():
+            for job in self._live.values():
                 if job.state != LEASE_PENDING:
                     continue
                 lane = body.get(job.priority)
@@ -517,7 +552,7 @@ class JobLedger:
         """Pending jobs (shed picker input); callers must not mutate."""
         with self._lock:
             return [
-                job for job in self._jobs.values() if job.state == LEASE_PENDING
+                job for job in self._live.values() if job.state == LEASE_PENDING
             ]
 
     def counts(self) -> dict:
@@ -528,7 +563,36 @@ class JobLedger:
                 by_state[job.state] = by_state.get(job.state, 0) + 1
             return {"by_state": by_state, **self._counters}
 
+    def wait(self, timeout: float) -> None:
+        """Block until a pending job may be claimable, or the ledger closes.
+
+        Returns after at most ``timeout`` seconds.  :meth:`enqueue` wakes
+        one waiter and :meth:`close` all of them, so an idle claimer picks
+        up new work at once instead of polling for it.
+        """
+
+        def claimable() -> bool:
+            now = time.time()
+            return self._closed or any(
+                job.state == LEASE_PENDING and job.not_before <= now
+                for job in self._live.values()
+            )
+
+        with self._cond:
+            self._cond.wait_for(claimable, timeout)
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def close(self, timeout: float | None = 10.0) -> None:
+        """Refuse new jobs, wake every waiter, flush the journal.
+
+        Claims still work after close, so workers can drain what is left.
+        """
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
         if self._journal is not None:
             self._journal.close(timeout=timeout)
 

@@ -3,12 +3,13 @@
 Each worker is a separate OS process spawned by the supervisor (spawn
 context, never fork — the daemon carries journal/probe/handler threads
 that fork would duplicate mid-lock).  A worker owns its *own*
-:class:`~repro.dse.explorer.Explorer` stack — its own handle on the
-shared sharded :class:`~repro.dse.store.RunStore`, its own
-:class:`~repro.batch.cache.ResultCache` shard directory — so SIGKILLing
-it can never corrupt the supervisor's state: the store's per-shard
-flock'd appends are crash-safe, the cache publishes entries atomically,
-and everything else dies with the process.
+:class:`~repro.dse.explorer.Explorer` stack — its own handles on the
+shared sharded :class:`~repro.dse.store.RunStore` and on the shared
+:class:`~repro.batch.cache.ResultCache` directory, which the daemon and
+every sibling worker open too — so SIGKILLing it can never corrupt the
+supervisor's state: the store's per-shard flock'd appends are
+crash-safe, the cache publishes each entry atomically under a name no
+other writer uses, and everything else dies with the process.
 
 Protocol, all over multiprocessing queues (tasks in, messages out)::
 
@@ -106,16 +107,13 @@ class FleetConfig:
     #: Slow-span watchdog threshold (seconds), forwarded to the runtime.
     trace_slow_span: float | None = None
 
-    def worker_cache_dir(self, worker_id: int) -> str | None:
-        """The per-worker result-cache shard (merged by the supervisor)."""
-        if self.cache_dir is None:
-            return None
-        return str(Path(self.cache_dir) / f"worker-{worker_id}")
-
     def build_mapper(self, worker_id: int):
-        """The worker's private engine (factory-injected in chaos tests)."""
-        cache_dir = self.worker_cache_dir(worker_id)
-        cache = ResultCache(path=cache_dir) if cache_dir is not None else None
+        """The worker's private engine over the shared result cache.
+
+        ``mapper_factory`` (chaos tests, instrumentation) is called with
+        the same ``cache=`` the default engine would get.
+        """
+        cache = ResultCache(path=self.cache_dir) if self.cache_dir is not None else None
         if self.mapper_factory is not None:
             factory = _load_factory(self.mapper_factory)
             return factory(cache=cache, **dict(self.mapper_kwargs))

@@ -227,3 +227,70 @@ class TestDiskTier:
         cache.clear()
         assert key not in cache
         assert len(cache) == 0
+
+
+class TestSharedDirectory:
+    """Several caches (one per process) publishing into one directory."""
+
+    def test_two_writers_of_one_key_never_collide(self, tmp_path, monkeypatch):
+        """Writer B publishes the same key between A's write and A's rename.
+
+        With a shared ``<key>.json.tmp`` name, B's rename consumed A's
+        temporary file and A's own rename then failed.
+        """
+        import os
+
+        first = ResultCache(tmp_path)
+        second = ResultCache(tmp_path)
+        real_replace = os.replace
+        interleaved = []
+
+        def replace(src, dst, *args, **kwargs):
+            if not interleaved:
+                interleaved.append(True)
+                # A's temporary file exists now; nothing may list it.
+                assert [p.name for p in tmp_path.glob("*.json")] == []
+                second.put("key", {"writer": "b"})
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        first.put("key", {"writer": "a"})
+        monkeypatch.setattr(os, "replace", real_replace)
+
+        assert interleaved
+        assert [p.name for p in tmp_path.glob("*.json")] == ["key.json"]
+        assert len(ResultCache(tmp_path)) == 1
+        entry = ResultCache(tmp_path).get("key")
+        assert entry in ({"writer": "a"}, {"writer": "b"})
+
+    def test_concurrent_writers_leave_valid_entries(self, tmp_path):
+        caches = [ResultCache(tmp_path) for _ in range(4)]
+        barrier = threading.Barrier(len(caches))
+        errors = []
+
+        def write(cache: ResultCache, writer: int) -> None:
+            barrier.wait()
+            try:
+                for index in range(100):
+                    cache.put(f"key-{index % 5}", {"writer": writer})
+            except Exception as exc:  # pragma: no cover - the regression
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=write, args=(cache, writer))
+                for writer, cache in enumerate(caches)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert errors == []
+        fresh = ResultCache(tmp_path)
+        assert len(fresh) == 5
+        for index in range(5):
+            assert fresh.get(f"key-{index}")["writer"] in range(len(caches))

@@ -1,33 +1,35 @@
-"""JobQueue / CancelToken semantics and the engine's cancellation hook."""
+"""Scheduling semantics (lanes, aging, depth), CancelToken, map_all hooks.
+
+The daemon's job queue is the pending side of a
+:class:`~repro.service.ledger.JobLedger` — in memory in thread mode,
+journaled under ``--fleet`` — so the queue tests drive a ledger.  Claims
+take an explicit ``now`` and records' ``enqueued_at`` is set directly,
+which keeps the aging tests clock-free.
+"""
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.batch.engine import BatchMapper
-from repro.batch.queue import (
-    CancelToken,
-    JobQueue,
-    QueueFull,
-    effective_priority,
-)
+from repro.batch.queue import CancelToken, QueueFull, effective_priority
+from repro.dse.scenario import ArchitectureSpec, FormulationSpec, Scenario, WorkloadSpec
+from repro.service.daemon import MappingService
+from repro.service.ledger import JobLedger
+from repro.service.wire import JobSpec
 
 pytestmark = pytest.mark.batch
 
+SPEC = {"format": 1, "scenarios": [], "tier": "ilp"}
 
-class FakeClock:
-    """A settable monotonic clock for deterministic aging tests."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = start
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+def _claim_id(ledger: JobLedger, now: float | None = None) -> str | None:
+    lease = ledger.claim("w", now=now)
+    return None if lease is None else lease.id
 
 
 class TestCancelToken:
@@ -42,122 +44,145 @@ class TestCancelToken:
 
 class TestJobQueue:
     def test_fifo_order(self):
-        queue = JobQueue()
-        queue.push("a")
-        queue.push("b")
-        assert queue.pop(timeout=0)[0] == "a"
-        assert queue.pop(timeout=0)[0] == "b"
+        ledger = JobLedger()
+        ledger.enqueue("a", SPEC)
+        ledger.enqueue("b", SPEC)
+        assert _claim_id(ledger) == "a"
+        assert _claim_id(ledger) == "b"
 
-    def test_pop_timeout_returns_none(self):
-        assert JobQueue().pop(timeout=0.01) is None
+    def test_wait_returns_after_timeout_without_work(self):
+        ledger = JobLedger()
+        start = time.monotonic()
+        ledger.wait(timeout=0.05)
+        assert 0.04 <= time.monotonic() - start < 3.0
+        assert _claim_id(ledger) is None
 
-    def test_cancelled_while_queued_is_dropped(self):
-        queue = JobQueue()
-        token = queue.push("doomed")
-        queue.push("fine")
-        token.cancel()
-        item, _ = queue.pop(timeout=0)
-        assert item == "fine"
-        assert queue.pop(timeout=0) is None
+    def test_enqueue_wakes_a_blocked_claimer(self):
+        ledger = JobLedger()
+        woke: list[float] = []
 
-    def test_len_ignores_cancelled(self):
-        queue = JobQueue()
-        token = queue.push("a")
-        queue.push("b")
-        assert len(queue) == 2
-        token.cancel()
-        assert len(queue) == 1
+        def _blocked_wait() -> None:
+            ledger.wait(timeout=30)
+            woke.append(time.monotonic())
 
-    def test_close_refuses_pushes_and_wakes_poppers(self):
-        queue = JobQueue()
-        popped: list = []
-
-        def _blocked_pop() -> None:
-            popped.append(queue.pop(timeout=30))
-
-        thread = threading.Thread(target=_blocked_pop)
+        thread = threading.Thread(target=_blocked_wait)
         thread.start()
-        queue.close()
+        time.sleep(0.05)  # let it block
+        enqueued = time.monotonic()
+        ledger.enqueue("a", SPEC)
         thread.join(timeout=10)
         assert not thread.is_alive()
-        assert popped == [None]
+        assert woke[0] - enqueued < 1.0  # woken by the enqueue, not a timeout
+        assert _claim_id(ledger) == "a"
+
+    def test_cancelled_while_queued_is_dropped(self):
+        ledger = JobLedger()
+        ledger.enqueue("doomed", SPEC)
+        ledger.enqueue("fine", SPEC)
+        ledger.finish("doomed", "cancelled")
+        assert _claim_id(ledger) == "fine"
+        assert _claim_id(ledger) is None
+
+    def test_len_ignores_cancelled(self):
+        ledger = JobLedger()
+        ledger.enqueue("a", SPEC)
+        ledger.enqueue("b", SPEC)
+        assert ledger.depth() == 2
+        ledger.finish("a", "cancelled")
+        assert ledger.depth() == 1
+
+    def test_close_refuses_pushes_and_wakes_poppers(self):
+        ledger = JobLedger()
+        returned: list[bool] = []
+
+        def _blocked_wait() -> None:
+            ledger.wait(timeout=30)
+            returned.append(ledger.closed)
+
+        thread = threading.Thread(target=_blocked_wait)
+        thread.start()
+        time.sleep(0.05)
+        ledger.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert returned == [True]
         with pytest.raises(RuntimeError, match="closed"):
-            queue.push("late")
+            ledger.enqueue("late", SPEC)
 
     def test_close_drains_remaining_items(self):
-        queue = JobQueue()
-        queue.push("left-over")
-        queue.close()
-        assert queue.pop(timeout=0)[0] == "left-over"
-        assert queue.pop(timeout=0) is None
-
-    def test_pop_timeout_is_a_total_deadline(self):
-        """Wakeups that find only cancelled items must not reset the wait.
-
-        The regression this guards: ``pop`` re-armed ``wait(timeout)``
-        with the *full* timeout after every notification, so a steady
-        drip of cancelled jobs could make a 0.5s pop sleep for minutes.
-        """
-        import time
-
-        queue = JobQueue()
-        stop = threading.Event()
-
-        def drip_cancelled() -> None:
-            # Wake the popper more often than its timeout, forever.  The
-            # token is cancelled *before* the push so the popper can
-            # never race in and win the item.
-            while not stop.is_set():
-                dead = CancelToken()
-                dead.cancel()
-                queue.push("noise", token=dead)
-                time.sleep(0.05)
-
-        pusher = threading.Thread(target=drip_cancelled)
-        pusher.start()
-        try:
-            start = time.monotonic()
-            item = queue.pop(timeout=0.5)
-            elapsed = time.monotonic() - start
-        finally:
-            stop.set()
-            pusher.join(timeout=10)
-        assert item is None
-        # Old behaviour: each 0.05s wakeup restarted the 0.5s wait, so
-        # the pop would outlive the pusher. With a real deadline it
-        # returns close to the requested timeout.
-        assert 0.4 <= elapsed < 3.0
+        ledger = JobLedger()
+        ledger.enqueue("left-over", SPEC)
+        ledger.close()
+        assert _claim_id(ledger) == "left-over"
+        assert _claim_id(ledger) is None
 
 
 class TestBoundedDepth:
+    """``max_depth`` bounds outstanding jobs: pending plus leased."""
+
     def test_push_beyond_maxsize_raises_queue_full(self):
-        queue = JobQueue(maxsize=2)
-        queue.push("a")
-        queue.push("b")
+        ledger = JobLedger()
+        ledger.enqueue("a", SPEC, max_depth=2)
+        ledger.enqueue("b", SPEC, max_depth=2)
         with pytest.raises(QueueFull, match="bounded depth"):
-            queue.push("c")
+            ledger.enqueue("c", SPEC, max_depth=2)
+        assert ledger.get("c") is None
 
     def test_cancelled_items_free_their_slot(self):
-        queue = JobQueue(maxsize=1)
-        token = queue.push("a")
-        token.cancel()
-        queue.push("b")  # the cancelled straggler no longer counts
+        ledger = JobLedger()
+        ledger.enqueue("a", SPEC, max_depth=1)
+        ledger.finish("a", "cancelled")
+        ledger.enqueue("b", SPEC, max_depth=1)  # the cancelled job no longer counts
 
-    def test_pop_reopens_capacity(self):
-        queue = JobQueue(maxsize=1)
-        queue.push("a")
-        assert queue.pop(timeout=0)[0] == "a"
-        queue.push("b")
+    def test_finish_reopens_capacity(self):
+        ledger = JobLedger()
+        ledger.enqueue("a", SPEC, max_depth=1)
+        assert _claim_id(ledger) == "a"
+        with pytest.raises(QueueFull):  # a running job is still outstanding
+            ledger.enqueue("b", SPEC, max_depth=1)
+        ledger.finish("a", "done")
+        ledger.enqueue("b", SPEC, max_depth=1)
 
     def test_unbounded_by_default(self):
-        queue = JobQueue()
+        ledger = JobLedger()
         for index in range(1000):
-            queue.push(index)
-        assert len(queue) == 1000
+            ledger.enqueue(f"job-{index}", SPEC)
+        assert ledger.depth() == 1000
+
+    def test_concurrent_submits_never_overshoot(self):
+        ledger = JobLedger()
+        accepted: list[str] = []
+        rejected: list[str] = []
+        barrier = threading.Barrier(8)
+
+        def _submit(worker: int) -> None:
+            barrier.wait()
+            for index in range(25):
+                job_id = f"w{worker}-{index}"
+                try:
+                    ledger.enqueue(job_id, SPEC, max_depth=10)
+                    accepted.append(job_id)
+                except QueueFull:
+                    rejected.append(job_id)
+
+        threads = [threading.Thread(target=_submit, args=(w,)) for w in range(8)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # preempt often, so a racy check overshoots
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(accepted) == 10
+        assert len(rejected) == 8 * 25 - 10
+        assert ledger.depth() == 10
 
     def test_maxsize_below_one_rejected(self):
         with pytest.raises(ValueError):
-            JobQueue(maxsize=0)
+            MappingService(max_queue_depth=0)
 
     def test_queue_full_carries_retry_after(self):
         error = QueueFull("full", retry_after=4.5)
@@ -173,50 +198,48 @@ class TestPriorityLanes:
         assert effective_priority("batch", 60.0, aging_interval=30.0) == 0.0
 
     def test_pop_order_is_high_normal_batch(self):
-        queue = JobQueue(clock=FakeClock())
-        queue.push("b", priority="batch")
-        queue.push("n", priority="normal")
-        queue.push("h", priority="high")
-        assert [queue.pop(timeout=0)[0] for _ in range(3)] == ["h", "n", "b"]
+        ledger = JobLedger()
+        for job_id, lane in (("b", "batch"), ("n", "normal"), ("h", "high")):
+            ledger.enqueue(job_id, SPEC, priority=lane).enqueued_at = 100.0
+        assert [_claim_id(ledger, now=100.0) for _ in range(3)] == ["h", "n", "b"]
 
     def test_fifo_within_a_lane(self):
-        queue = JobQueue(clock=FakeClock())
-        queue.push("first", priority="high")
-        queue.push("second", priority="high")
-        assert queue.pop(timeout=0)[0] == "first"
+        ledger = JobLedger()
+        ledger.enqueue("first", SPEC, priority="high").enqueued_at = 100.0
+        ledger.enqueue("second", SPEC, priority="high").enqueued_at = 100.0
+        assert _claim_id(ledger, now=100.0) == "first"
 
     def test_unknown_priority_rejected(self):
         with pytest.raises(ValueError, match="priority"):
-            JobQueue().push("x", priority="urgent")
+            JobLedger().enqueue("x", SPEC, priority="urgent")
 
     def test_aged_batch_beats_fresh_high(self):
-        clock = FakeClock()
-        queue = JobQueue(aging_interval=1.0, clock=clock)
-        queue.push("starved", priority="batch")
-        clock.advance(3.0)  # batch score: 2 - 3/1 = -1 < fresh high's 0
-        queue.push("fresh", priority="high")
-        assert queue.pop(timeout=0)[0] == "starved"
-        assert queue.pop(timeout=0)[0] == "fresh"
+        ledger = JobLedger(aging_interval=1.0)
+        ledger.enqueue("starved", SPEC, priority="batch").enqueued_at = 0.0
+        # batch score at t=3: 2 - 3/1 = -1 < fresh high's 0
+        ledger.enqueue("fresh", SPEC, priority="high").enqueued_at = 3.0
+        assert _claim_id(ledger, now=3.0) == "starved"
+        assert _claim_id(ledger, now=3.0) == "fresh"
 
     def test_no_starvation_under_steady_high_traffic(self):
         """A batch job outlasts any stream of fresh high-priority work."""
-        clock = FakeClock()
-        queue = JobQueue(aging_interval=1.0, clock=clock)
-        queue.push("batch-job", priority="batch")
-        popped = []
+        ledger = JobLedger(aging_interval=1.0)
+        ledger.enqueue("batch-job", SPEC, priority="batch").enqueued_at = 0.0
+        now = 0.0
+        claimed = []
         for index in range(10):
-            queue.push(f"high-{index}", priority="high")
-            clock.advance(0.5)
-            popped.append(queue.pop(timeout=0)[0])
-        assert "batch-job" in popped  # aged its way past the flood
+            ledger.enqueue(f"high-{index}", SPEC, priority="high").enqueued_at = now
+            now += 0.5
+            job_id = _claim_id(ledger, now=now)
+            ledger.finish(job_id, "done")
+            claimed.append(job_id)
+        assert "batch-job" in claimed  # aged its way past the flood
 
     def test_lane_snapshot_depth_and_wait(self):
-        clock = FakeClock()
-        queue = JobQueue(clock=clock)
-        queue.push("a", priority="batch")
-        clock.advance(2.0)
-        queue.push("b", priority="batch")
-        snapshot = queue.lane_snapshot()
+        ledger = JobLedger()
+        ledger.enqueue("a", SPEC, priority="batch").enqueued_at = 100.0
+        ledger.enqueue("b", SPEC, priority="batch").enqueued_at = 102.0
+        snapshot = ledger.lane_snapshot(now=102.0)
         assert snapshot["batch"]["depth"] == 2
         assert snapshot["batch"]["oldest_wait"] == pytest.approx(2.0)
         assert snapshot["high"] == {"depth": 0, "oldest_wait": None}
@@ -224,31 +247,44 @@ class TestPriorityLanes:
 
 class TestLiveDepthCounters:
     def test_cancel_flood_compacts_the_lane(self):
-        queue = JobQueue()
-        tokens = [queue.push(i) for i in range(20)]
-        for token in tokens[:15]:
-            token.cancel()
-        assert len(queue) == 5
-        # Compaction keeps the deque near the live size instead of
-        # accumulating every cancelled straggler until pop time.
-        assert len(queue._lanes["normal"]) <= 10
+        ledger = JobLedger()
+        for index in range(20):
+            ledger.enqueue(f"job-{index}", SPEC)
+        for index in range(15):
+            ledger.finish(f"job-{index}", "cancelled")
+        assert ledger.depth() == 5
+        # Terminal jobs leave the live index the scans walk, while the
+        # record map still answers for every job.
+        assert len(ledger._live) == 5
+        assert len(ledger.jobs()) == 20
 
     def test_precancelled_token_never_counts(self):
-        queue = JobQueue(maxsize=1)
-        dead = CancelToken()
-        dead.cancel()
-        queue.push("noise", token=dead)  # subscribe fires synchronously
-        assert len(queue) == 0
-        queue.push("real")  # the dead entry freed its slot immediately
+        """A job cancelled before any worker claimed it frees its slot."""
+        spec = JobSpec(
+            scenarios=(
+                Scenario(
+                    architecture=ArchitectureSpec(kind="homogeneous", dimension=12),
+                    workload=WorkloadSpec(network="C", scale=0.1, profile="uniform"),
+                    formulation=FormulationSpec(stages=("area",)),
+                ),
+            )
+        )
+        service = MappingService(max_queue_depth=1)  # never started
+        job = service.submit(spec)
+        service.cancel(job.id)
+        assert job.token.cancelled
+        assert service.ledger.depth() == 0
+        service.submit(spec)  # not a 429
+        service.stop()
 
     def test_snapshot_entries_lists_only_live(self):
-        queue = JobQueue(clock=FakeClock())
-        token = queue.push("doomed", priority="batch")
-        queue.push("live", priority="high")
-        token.cancel()
-        rows = queue.snapshot_entries()
-        assert [row[0] for row in rows] == ["live"]
-        assert rows[0][2] == "high"
+        ledger = JobLedger()
+        ledger.enqueue("doomed", SPEC, priority="batch")
+        ledger.enqueue("live", SPEC, priority="high")
+        ledger.finish("doomed", "cancelled")
+        rows = ledger.pending_snapshot()
+        assert [row.id for row in rows] == ["live"]
+        assert rows[0].priority == "high"
 
 
 class TestMapAllCancellationHook:

@@ -269,9 +269,9 @@ class TestCancellation:
             service.submit(JobSpec(scenarios=(tiny_scenario,)))
             for _ in range(3)
         ]
-        # Close before the workers exist: everything popped after close
+        # Close before the workers exist: everything claimed after close
         # is backlog and must be cancelled, not executed.
-        service.queue.close()
+        service.ledger.close()
         service.start()
         service.stop(wait=True)
         for job in jobs:

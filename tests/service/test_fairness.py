@@ -1,9 +1,9 @@
 """Fairness, deadlines and overload shedding, proved deterministically.
 
-The starvation/fairness story has two halves — the in-process
-``JobQueue`` (covered in ``tests/batch/test_queue.py`` with an injected
-clock) and the fleet's ``JobLedger.claim`` — plus the service-level
-behavior that ties them to clients: a flooding client must not starve a
+The starvation/fairness story has two halves — ``JobLedger.claim``, the
+one scheduler both service modes run on (also covered in
+``tests/batch/test_queue.py``) — and the service-level behavior that
+ties it to clients: a flooding client must not starve a
 quiet one, ``batch`` work must always eventually run, an expired
 deadline must terminate a job without a single mapper invocation, and
 overload must shed the *least* important queued work first.
@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.batch.queue import JobQueue
 from repro.dse.scenario import (
     ArchitectureSpec,
     FormulationSpec,
@@ -331,32 +330,19 @@ class TestLedgerPriorityClaims:
 
 
 # ----------------------------------------------------------------------
-class FakeClock:
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = start
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
 class TestOverloadShedding:
     def test_sheds_lowest_effective_priority_half(self):
-        """Queue mode: once the oldest job waits past ``shed_after``, the
+        """Thread mode: once the oldest job waits past ``shed_after``, the
         worst-priority half of the backlog sheds with a resubmittable
         spec; high-priority work survives."""
-        clock = FakeClock()
-        service = MappingService(StubExplorer(), shed_after=10.0)
-        service.queue = JobQueue(aging_interval=30.0, clock=clock)
+        service = MappingService(StubExplorer(), shed_after=10.0, aging_interval=30.0)
         high = service.submit(_spec(priority="high", client="a"))
         normal = service.submit(_spec(client="a"))
         doomed = [service.submit(_spec(priority="batch", client="b")) for _ in range(2)]
 
-        assert service.shed_overload() == 0  # nothing old enough yet
-        clock.advance(11.0)
-        assert service.shed_overload() == 2  # half of 4, batch lane first
+        now = time.time()
+        assert service.shed_overload(now=now) == 0  # nothing old enough yet
+        assert service.shed_overload(now=now + 11.0) == 2  # half of 4, batch first
 
         for job in doomed:
             assert job.status == JOB_SHED
@@ -390,7 +376,7 @@ class TestOverloadShedding:
         service = MappingService(StubExplorer(), fleet=1)
         job = service.submit(_spec(deadline_ms=1))
         time.sleep(0.05)  # let the 1ms deadline lapse
-        service.supervisor._sweep_deadlines()
+        service._sweep_deadlines()  # the supervisor loop runs it every tick
         assert job.status == JOB_DEADLINE
         lease = service.ledger.get(job.id)
         assert lease.outcome == "deadline"

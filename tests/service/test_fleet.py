@@ -185,6 +185,41 @@ class TestWorkerMain:
         assert result["cancelled"] is True
 
 
+class _AliveProcess:
+    """Stands in for a live worker process the supervisor never spawned."""
+
+    def is_alive(self) -> bool:
+        return True
+
+
+class TestWorkerHealth:
+    def test_worker_job_shows_only_after_started(self, tmp_path):
+        """``/healthz`` lists a worker's job once the worker picked it up,
+        not at dispatch, so "busy" means "inside the solve"."""
+        service = _service(tmp_path, fleet=1, config=_fleet_config(tmp_path))
+        supervisor = service.supervisor
+        handle = supervisor._handles[0]
+        handle.process = _AliveProcess()
+        handle.ready = True
+        handle.task_queue = queue.Queue()
+        handle.cancel_event = threading.Event()
+        try:
+            job = service.submit(_spec(_scenario()))
+            supervisor._dispatch()
+            assert handle.task_queue.get_nowait()["job"] == job.id
+            (worker,) = service.stats()["fleet"]["workers"]
+            assert worker["job"] is None  # dispatched, not yet started
+            supervisor._handle_message(
+                {"type": "started", "job": job.id, "worker": handle.name}
+            )
+            (worker,) = service.stats()["fleet"]["workers"]
+            assert worker["job"] == job.id
+            assert job.status == "running"
+        finally:
+            handle.process = None
+            service.stop(wait=False)
+
+
 # ----------------------------------------------------------------------
 class TestFleetEndToEnd:
     def test_fleet_results_match_direct_run(self, tmp_path):

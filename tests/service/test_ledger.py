@@ -243,3 +243,39 @@ class TestMultiprocessHammer:
                 enqueued.append(record["job"])
         assert len(enqueued) == writers * jobs
         assert len(set(enqueued)) == len(enqueued)  # zero duplicates
+
+
+class TestLiveIndexScaling:
+    """Scheduler scans walk live jobs, not every job the ledger has seen."""
+
+    @staticmethod
+    def _claim_and_depth_cost(terminal: int) -> float:
+        import time
+
+        ledger = JobLedger()
+        for index in range(terminal):
+            ledger.enqueue(f"old-{index}", SPEC)
+            ledger.finish(f"old-{index}", "done")
+        ledger.enqueue("live", SPEC)
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            for _ in range(100):
+                lease = ledger.claim("w0", now=100.0)
+                assert lease.id == "live" and ledger.depth() == 1
+                ledger.requeue_for_restart("live")
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    def test_claim_and_depth_do_not_scale_with_finished_jobs(self):
+        small = self._claim_and_depth_cost(200)
+        large = self._claim_and_depth_cost(20_000)
+        assert large <= 5 * small, (small, large)
+
+    def test_finished_jobs_stay_queryable(self):
+        ledger = JobLedger()
+        ledger.enqueue("job-a", SPEC)
+        ledger.finish("job-a", "done")
+        assert ledger.get("job-a").state == LEASE_FINISHED
+        assert [job.id for job in ledger.jobs()] == ["job-a"]
+        assert ledger.pending_snapshot() == [] and ledger.depth() == 0
